@@ -23,6 +23,7 @@
 // timing. Wall times and peak RSS vary run to run; the cost, checksum,
 // counter and critical-path fields are bit-deterministic at any thread
 // count (the batch size, not the thread count, shapes the anneal).
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <cctype>
@@ -33,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/rr_graph.hpp"
@@ -59,6 +61,15 @@ std::uint64_t peak_rss_bytes() {
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
+}
+
+/// Cores this process may run on — what `nproc` prints.
+std::size_t nproc() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
 }
 
 // ---- strict flag parsing (route_perf's discipline: no silent atoi) ------
@@ -203,8 +214,11 @@ void write_json(const std::vector<CircuitReport>& reps, const char* path) {
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"schema\": \"nemfpga-place-bench-1\",\n");
+  // Host metadata: the pool size and the cores it ran on. Neither joins
+  // the config tuple; both gate wall-time comparison.
   std::fprintf(f, "  \"threads\": %zu,\n",
                ThreadPool::current().thread_count());
+  std::fprintf(f, "  \"nproc\": %zu,\n", nproc());
   // The placer config tuple bench_check pins: these knobs change the
   // anneal trajectory (deterministically). threads and cost_kernel do
   // NOT join it — both are bit-identity claims, and cross-thread /

@@ -18,19 +18,21 @@ FlowResult run_flow(Netlist netlist, const FlowOptions& opt) {
   }
   const auto [nx, ny] = grid_size_for(r.arch, r.packing.clusters.size(),
                                       r.packing.io_block_count());
-  r.placement = place(r.netlist, r.packing, r.arch, nx, ny, opt.place);
+  // Placement and the pre-route immutable artifacts — backend-selected
+  // RR graph, lookahead table, lowered delay model — built here or
+  // served by the shared artifact cache, overlapped when the pool has
+  // threads to spare; the routed result is bit-identical either way.
+  // Both RR backends produce bit-identical routing by construction, and
+  // the implicit backend no longer pays for a redundant explicit graph:
+  // downstream consumers (bitstream, timing, power) read graph_view().
+  PlacedArtifacts pa =
+      place_with_artifacts(r.netlist, r.packing, r.arch, nx, ny, opt.place,
+                           opt.artifact_cache, opt.route, opt.timing_backend);
+  r.placement = std::move(pa.placement);
   if (verify::checks_enabled()) {
     check_placement(r.packing, r.arch, r.placement);
   }
-  // Pre-route immutable artifacts — backend-selected RR graph, lookahead
-  // table, lowered delay model — built here or served by the shared
-  // artifact cache; the routed result is bit-identical either way. Both
-  // RR backends produce bit-identical routing by construction, and the
-  // implicit backend no longer pays for a redundant explicit graph:
-  // downstream consumers (bitstream, timing, power) read graph_view().
-  FlowArtifacts art =
-      make_flow_artifacts(opt.artifact_cache, r.arch, nx, ny, opt.route,
-                          opt.timing_backend);
+  const FlowArtifacts& art = pa.artifacts;
   r.graph = art.rr;
   r.igraph = art.irr;
   const RrGraphView gv = art.view();

@@ -39,14 +39,18 @@ EcoFlow::EcoFlow(Netlist netlist, const EcoOptions& opt)
       grid_size_for(opt_.arch, pk_.clusters.size(), pk_.io_block_count());
   nx_ = nx;
   ny_ = ny;
-  pl_ = place(nl_, pk_, opt_.arch, nx_, ny_, opt_.place);
+  // Placement and the session artifacts (RR graph, lookahead, delay
+  // model), overlapped when the pool has threads to spare. The
+  // artifacts come from the shared content-addressed cache when one is
+  // given — many sessions on one fabric then share a single immutable
+  // copy of each.
+  PlacedArtifacts pa =
+      place_with_artifacts(nl_, pk_, opt_.arch, nx_, ny_, opt_.place,
+                           opt_.artifact_cache, opt_.route,
+                           opt_.timing_backend);
+  pl_ = std::move(pa.placement);
   if (verify::checks_enabled()) check_placement(pk_, opt_.arch, pl_);
-  // Session artifacts (RR graph, lookahead, delay model) come from the
-  // shared content-addressed cache when one is given — many sessions on
-  // one fabric then share a single immutable copy of each.
-  FlowArtifacts art =
-      make_flow_artifacts(opt_.artifact_cache, opt_.arch, nx_, ny_,
-                          opt_.route, opt_.timing_backend);
+  const FlowArtifacts& art = pa.artifacts;
   eg_ = art.rr;
   ig_ = art.irr;
   dmodel_ = art.delay_model;
@@ -396,7 +400,7 @@ std::size_t EcoFlow::replace_touched() {
   cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
   if (cands.empty()) return 0;
 
-  NetCostModel model(&pl_.nets, pk_.blocks.size());
+  NetCostModel model(pl_.nets, pk_.blocks.size());
   model.rebuild(pl_.locs);
   Rng rng = Rng::from_stream(opt_.seed, applies_);
   NetCostModel::Pending pend;

@@ -6,6 +6,8 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -67,13 +69,6 @@ inline bool move_dim(std::uint16_t o, std::uint16_t c, std::uint16_t& lo,
   return true;
 }
 
-/// True when `blk` is a pin of net `n` (driver or one of the sorted
-/// sinks).
-inline bool net_has(const PlacedNet& n, std::size_t blk) {
-  return blk == n.driver ||
-         std::binary_search(n.sinks.begin(), n.sinks.end(), blk);
-}
-
 /// Flat-buffer capacity for the branchless box scan; bigger nets take
 /// the sequential fold (identical result, just not vectorizable).
 constexpr std::size_t kScanBuf = 128;
@@ -95,10 +90,10 @@ inline bool strictly_inside(const BlockLoc& l, const NetCostModel::Box& b) {
   return b.x_lo < x && x < b.x_hi && b.y_lo < y && y < b.y_hi;
 }
 
-/// Full box scan of one net with up to two pin substitutions applied
-/// (`a` at `new_a`, `b` at `new_b`). Free function in this TU so it
-/// inlines into the propose() hot loop.
-inline NetCostModel::Box full_scan(const PlacedNet& n,
+/// Full box scan of one net's pins (driver first) with up to two pin
+/// substitutions applied (`a` at `new_a`, `b` at `new_b`). Free function
+/// in this TU so it inlines into the propose() hot loop.
+inline NetCostModel::Box full_scan(std::span<const std::uint32_t> pins,
                                    const std::vector<BlockLoc>& locs,
                                    std::size_t a, const BlockLoc& new_a,
                                    std::size_t b, const BlockLoc& new_b) {
@@ -114,25 +109,25 @@ inline NetCostModel::Box full_scan(const PlacedNet& n,
   // — produces the identical box without the fold's data-dependent
   // branches (measured faster even on the typical 2-4 pin net here).
   std::uint16_t xs[kScanBuf], ys[kScanBuf];
-  const std::size_t pins = n.sinks.size() + 1;
-  if (pins <= kScanBuf) {
-    const BlockLoc& d = loc(n.driver);
+  const std::size_t n = pins.size();
+  const BlockLoc& d = loc(pins[0]);
+  if (n <= kScanBuf) {
     xs[0] = static_cast<std::uint16_t>(d.x);
     ys[0] = static_cast<std::uint16_t>(d.y);
-    for (std::size_t i = 0; i < n.sinks.size(); ++i) {
-      const BlockLoc& l = loc(n.sinks[i]);
-      xs[i + 1] = static_cast<std::uint16_t>(l.x);
-      ys[i + 1] = static_cast<std::uint16_t>(l.y);
+    for (std::size_t i = 1; i < n; ++i) {
+      const BlockLoc& l = loc(pins[i]);
+      xs[i] = static_cast<std::uint16_t>(l.x);
+      ys[i] = static_cast<std::uint16_t>(l.y);
     }
     std::uint16_t xlo = xs[0], xhi = xs[0], ylo = ys[0], yhi = ys[0];
-    for (std::size_t i = 1; i < pins; ++i) {
+    for (std::size_t i = 1; i < n; ++i) {
       xlo = std::min(xlo, xs[i]);
       xhi = std::max(xhi, xs[i]);
       ylo = std::min(ylo, ys[i]);
       yhi = std::max(yhi, ys[i]);
     }
     std::uint16_t cxl = 0, cxh = 0, cyl = 0, cyh = 0;
-    for (std::size_t i = 0; i < pins; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       cxl = static_cast<std::uint16_t>(cxl + (xs[i] == xlo));
       cxh = static_cast<std::uint16_t>(cxh + (xs[i] == xhi));
       cyl = static_cast<std::uint16_t>(cyl + (ys[i] == ylo));
@@ -148,12 +143,11 @@ inline NetCostModel::Box full_scan(const PlacedNet& n,
     box.on_y_hi = cyh;
     return box;
   }
-  const BlockLoc& d = loc(n.driver);
   box.x_lo = box.x_hi = static_cast<std::uint16_t>(d.x);
   box.y_lo = box.y_hi = static_cast<std::uint16_t>(d.y);
   box.on_x_lo = box.on_x_hi = box.on_y_lo = box.on_y_hi = 1;
-  for (std::size_t s : n.sinks) {
-    const BlockLoc& l = loc(s);
+  for (std::size_t i = 1; i < n; ++i) {
+    const BlockLoc& l = loc(pins[i]);
     scan_dim(static_cast<std::uint16_t>(l.x), box.x_lo, box.x_hi, box.on_x_lo,
              box.on_x_hi);
     scan_dim(static_cast<std::uint16_t>(l.y), box.y_lo, box.y_hi, box.on_y_lo,
@@ -166,74 +160,89 @@ inline NetCostModel::Box full_scan(const PlacedNet& n,
 /// apply_swap path scans already-mutated locations, so the two per-pin
 /// substitution compares drop out of the gather, and the serial
 /// annealer never consults the edge-occupancy counts (they exist for
-/// move_dim, which only the batch propose path runs), so the equality
-/// count pass drops out too. Counts are left zero; the batch annealer
-/// re-derives them with refresh_counts() before it ever reads them.
-inline NetCostModel::Box direct_scan(const PlacedNet& n,
-                                     const std::vector<BlockLoc>& locs) {
+/// move_dim, which only the batch propose path runs), so one min/max
+/// pass over the pins is the whole scan. It reads the packed (x, y)
+/// words, 4 bytes a pin instead of a 24-byte BlockLoc. Counts are left
+/// zero; the batch annealer re-derives them with refresh_counts()
+/// before it ever reads them.
+inline NetCostModel::Box direct_scan(const std::uint32_t* pin,
+                                     const std::uint32_t* end,
+                                     const std::uint32_t* xy) {
   NetCostModel::Box box;
-  box.on_x_lo = box.on_x_hi = box.on_y_lo = box.on_y_hi = 0;
-  std::uint16_t xs[kScanBuf], ys[kScanBuf];
-  const std::size_t pins = n.sinks.size() + 1;
-  if (pins <= kScanBuf) {
-    const BlockLoc& d = locs[n.driver];
-    xs[0] = static_cast<std::uint16_t>(d.x);
-    ys[0] = static_cast<std::uint16_t>(d.y);
-    for (std::size_t i = 0; i < n.sinks.size(); ++i) {
-      const BlockLoc& l = locs[n.sinks[i]];
-      xs[i + 1] = static_cast<std::uint16_t>(l.x);
-      ys[i + 1] = static_cast<std::uint16_t>(l.y);
-    }
-    std::uint16_t xlo = xs[0], xhi = xs[0], ylo = ys[0], yhi = ys[0];
-    for (std::size_t i = 1; i < pins; ++i) {
-      xlo = std::min(xlo, xs[i]);
-      xhi = std::max(xhi, xs[i]);
-      ylo = std::min(ylo, ys[i]);
-      yhi = std::max(yhi, ys[i]);
-    }
-    box.x_lo = xlo;
-    box.x_hi = xhi;
-    box.y_lo = ylo;
-    box.y_hi = yhi;
-    return box;
+  const std::uint32_t d = xy[*pin];
+  std::uint16_t xlo = static_cast<std::uint16_t>(d), xhi = xlo;
+  std::uint16_t ylo = static_cast<std::uint16_t>(d >> 16), yhi = ylo;
+  for (++pin; pin != end; ++pin) {
+    const std::uint32_t l = xy[*pin];
+    const auto x = static_cast<std::uint16_t>(l);
+    const auto y = static_cast<std::uint16_t>(l >> 16);
+    xlo = std::min(xlo, x);
+    xhi = std::max(xhi, x);
+    ylo = std::min(ylo, y);
+    yhi = std::max(yhi, y);
   }
-  const BlockLoc& d = locs[n.driver];
-  box.x_lo = box.x_hi = static_cast<std::uint16_t>(d.x);
-  box.y_lo = box.y_hi = static_cast<std::uint16_t>(d.y);
-  std::uint16_t c0 = 1, c1 = 1, c2 = 1, c3 = 1;
-  for (std::size_t s : n.sinks) {
-    const BlockLoc& l = locs[s];
-    scan_dim(static_cast<std::uint16_t>(l.x), box.x_lo, box.x_hi, c0, c1);
-    scan_dim(static_cast<std::uint16_t>(l.y), box.y_lo, box.y_hi, c2, c3);
-  }
+  box.x_lo = xlo;
+  box.x_hi = xhi;
+  box.y_lo = ylo;
+  box.y_hi = yhi;
   return box;
+}
+
+/// A location's packed scan word: x in the low 16 bits, y in the high
+/// 16 — the same truncation the 16-bit Box coordinates apply.
+inline std::uint32_t pack_xy(const BlockLoc& l) {
+  return static_cast<std::uint32_t>(static_cast<std::uint16_t>(l.x)) |
+         static_cast<std::uint32_t>(static_cast<std::uint16_t>(l.y)) << 16;
+}
+
+/// Narrow a CSR index or block id to the uint32 the flat arrays store.
+std::uint32_t to_u32(std::size_t v) {
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("NetCostModel: netlist exceeds 2^32 pins");
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 }  // namespace
 
-NetCostModel::NetCostModel(const std::vector<PlacedNet>* nets,
-                           std::size_t n_blocks)
-    : nets_(nets) {
-  weight_.assign(nets_->size(), 1.0);
-  wq_.resize(nets_->size());
-  for (std::size_t n = 0; n < nets_->size(); ++n) {
-    wq_[n] = weight_[n] * q_factor((*nets_)[n].sinks.size() + 1);
+NetCostModel::NetCostModel(const std::vector<PlacedNet>& nets,
+                           std::size_t n_blocks) {
+  weight_.assign(nets.size(), 1.0);
+  wq_.resize(nets.size());
+  pin_start_.reserve(nets.size() + 1);
+  pin_start_.push_back(0);
+  net_start_.assign(n_blocks + 1, 0);
+  for (const PlacedNet& pn : nets) {
+    pins_.push_back(to_u32(pn.driver));
+    ++net_start_[pn.driver + 1];
+    for (std::size_t s : pn.sinks) {
+      pins_.push_back(to_u32(s));
+      ++net_start_[s + 1];
+    }
+    pin_start_.push_back(to_u32(pins_.size()));
   }
-  block_nets_.assign(n_blocks, {});
-  for (std::size_t n = 0; n < nets_->size(); ++n) {
-    const PlacedNet& pn = (*nets_)[n];
-    block_nets_[pn.driver].push_back(n);
-    for (std::size_t s : pn.sinks) block_nets_[s].push_back(n);
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    wq_[n] = q_factor(pins_of(n).size());
+  }
+  // Counting sort by block: visiting nets in ascending order leaves each
+  // block's slice ascending.
+  for (std::size_t b = 0; b < n_blocks; ++b) net_start_[b + 1] += net_start_[b];
+  block_nets_.resize(pins_.size());
+  std::vector<std::uint32_t> fill(net_start_.begin(), net_start_.end() - 1);
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    for (std::uint32_t blk : pins_of(n)) {
+      block_nets_[fill[blk]++] = static_cast<std::uint32_t>(n);
+    }
   }
 }
 
 void NetCostModel::set_weights(std::vector<double> w) {
-  if (w.size() != nets_->size()) {
+  if (w.size() != net_count()) {
     throw std::logic_error("NetCostModel: weight count mismatch");
   }
   weight_ = std::move(w);
-  for (std::size_t n = 0; n < nets_->size(); ++n) {
-    wq_[n] = weight_[n] * q_factor((*nets_)[n].sinks.size() + 1);
+  for (std::size_t n = 0; n < net_count(); ++n) {
+    wq_[n] = weight_[n] * q_factor(pins_of(n).size());
   }
 }
 
@@ -243,21 +252,15 @@ void NetCostModel::finish_cost(Box& box, std::size_t net) const {
   box.cost = wq_[net] * span;
 }
 
-NetCostModel::Box NetCostModel::scan_box(const PlacedNet& n,
-                                         const std::vector<BlockLoc>& locs,
-                                         std::size_t a, const BlockLoc& new_a,
-                                         std::size_t b,
-                                         const BlockLoc& new_b) const {
-  return full_scan(n, locs, a, new_a, b, new_b);
-}
-
 void NetCostModel::rebuild(const std::vector<BlockLoc>& locs) {
-  boxes_.resize(nets_->size());
+  xy_.resize(locs.size());
+  for (std::size_t b = 0; b < locs.size(); ++b) xy_[b] = pack_xy(locs[b]);
+  boxes_.resize(net_count());
   cost_ = 0.0;
   static const BlockLoc kNowhere{};
-  for (std::size_t n = 0; n < nets_->size(); ++n) {
-    Box box = scan_box((*nets_)[n], locs, kNoBlock, kNowhere, kNoBlock,
-                       kNowhere);
+  for (std::size_t n = 0; n < net_count(); ++n) {
+    Box box =
+        full_scan(pins_of(n), locs, kNoBlock, kNowhere, kNoBlock, kNowhere);
     finish_cost(box, n);
     boxes_[n] = box;
     cost_ += box.cost;
@@ -268,7 +271,7 @@ double NetCostModel::unweighted_cost() const {
   double cost = 0.0;
   for (std::size_t n = 0; n < boxes_.size(); ++n) {
     const Box& b = boxes_[n];
-    cost += q_factor((*nets_)[n].sinks.size() + 1) *
+    cost += q_factor(pins_of(n).size()) *
             (static_cast<double>(b.x_hi - b.x_lo) +
              static_cast<double>(b.y_hi - b.y_lo));
   }
@@ -320,7 +323,7 @@ double NetCostModel::propose(const std::vector<BlockLoc>& locs, std::size_t a,
                     nb.on_y_lo, nb.on_y_hi);
     }
     if (!ok) {
-      nb = full_scan((*nets_)[n], locs, a, new_a, b, new_b);
+      nb = full_scan(pins_of(n), locs, a, new_a, b, new_b);
       ++out.rescans;
     }
     if (same_geometry(nb, old)) return;  // exact +0.0, box record unchanged
@@ -344,7 +347,7 @@ NetCostModel::Box NetCostModel::rescan_net(std::size_t net,
                                            std::size_t a, const BlockLoc& new_a,
                                            std::size_t b,
                                            const BlockLoc& new_b) const {
-  Box nb = scan_box((*nets_)[net], locs, a, new_a, b, new_b);
+  Box nb = full_scan(pins_of(net), locs, a, new_a, b, new_b);
   finish_cost(nb, net);
   return nb;
 }
@@ -353,7 +356,7 @@ void NetCostModel::refresh_counts(const std::vector<BlockLoc>& locs) {
   static const BlockLoc kNowhere{};
   for (std::size_t n = 0; n < boxes_.size(); ++n) {
     const Box b =
-        full_scan((*nets_)[n], locs, kNoBlock, kNowhere, kNoBlock, kNowhere);
+        full_scan(pins_of(n), locs, kNoBlock, kNowhere, kNoBlock, kNowhere);
     boxes_[n].on_x_lo = b.on_x_lo;
     boxes_[n].on_x_hi = b.on_x_hi;
     boxes_[n].on_y_lo = b.on_y_lo;
@@ -366,21 +369,31 @@ double NetCostModel::apply_swap(std::vector<BlockLoc>& locs, std::size_t a,
                                 Pending& undo) {
   const BlockLoc src = locs[a];
   locs[a] = dest;
-  if (b != kNoBlock) locs[b] = src;
+  xy_[a] = pack_xy(dest);
+  if (b != kNoBlock) {
+    locs[b] = src;
+    xy_[b] = pack_xy(src);
+  }
   // The seed annealer's do_swap evaluation order: rescan a's nets in
   // order, then b's nets in order. A shared net is rescanned twice; the
   // second visit recomputes the identical box against the
   // already-updated record, so its term is an exact +0.0 and the delta
   // stays bit-identical to the shared-net-once accumulation propose()
   // performs.
+  const std::uint32_t* const pins = pins_.data();
+  const std::uint32_t* const pin_start = pin_start_.data();
   double delta = 0.0;
   auto touch = [&](std::size_t blk) NF_ALWAYS_INLINE {
-    for (std::size_t n : block_nets_[blk]) {
-      Box nb = direct_scan((*nets_)[n], locs);
-      finish_cost(nb, n);
-      delta += nb.cost - boxes_[n].cost;
-      undo.nets.push_back({n, boxes_[n]});
-      boxes_[n] = nb;
+    const std::uint32_t* n = block_nets_.data() + net_start_[blk];
+    const std::uint32_t* const end = block_nets_.data() + net_start_[blk + 1];
+    for (; n != end; ++n) {
+      Box nb = direct_scan(pins + pin_start[*n], pins + pin_start[*n + 1],
+                           xy_.data());
+      finish_cost(nb, *n);
+      Box& cur = boxes_[*n];
+      delta += nb.cost - cur.cost;
+      undo.nets.push_back({*n, cur});
+      cur = nb;
     }
   };
   touch(a);
@@ -392,7 +405,11 @@ void NetCostModel::undo_swap(std::vector<BlockLoc>& locs, std::size_t a,
                              const BlockLoc& src, std::size_t b,
                              const BlockLoc& dest, const Pending& undo) {
   locs[a] = src;
-  if (b != kNoBlock) locs[b] = dest;
+  xy_[a] = pack_xy(src);
+  if (b != kNoBlock) {
+    locs[b] = dest;
+    xy_[b] = pack_xy(dest);
+  }
   for (std::size_t i = undo.nets.size(); i-- > 0;) {
     boxes_[undo.nets[i].net] = undo.nets[i].box;
   }
@@ -402,19 +419,20 @@ double NetCostModel::propose_naive(const std::vector<BlockLoc>& locs,
                                    std::size_t a, const BlockLoc& new_a,
                                    std::size_t b, const BlockLoc& new_b,
                                    Pending& out) const {
-  for (std::size_t n : block_nets_[a]) {
-    Box nb = scan_box((*nets_)[n], locs, a, new_a, b, new_b);
+  for (std::size_t n : nets_of(a)) {
+    Box nb = full_scan(pins_of(n), locs, a, new_a, b, new_b);
     ++out.rescans;
     finish_cost(nb, n);
     out.delta += nb.cost - boxes_[n].cost;
     out.nets.push_back({n, nb});
   }
   if (b != kNoBlock) {
-    for (std::size_t n : block_nets_[b]) {
-      Box nb = scan_box((*nets_)[n], locs, a, new_a, b, new_b);
+    const std::span<const std::uint32_t> la = nets_of(a);
+    for (std::size_t n : nets_of(b)) {
+      Box nb = full_scan(pins_of(n), locs, a, new_a, b, new_b);
       ++out.rescans;
       finish_cost(nb, n);
-      if (net_has((*nets_)[n], a)) {
+      if (std::binary_search(la.begin(), la.end(), n)) {
         // Shared net: the seed recomputed it against its already-updated
         // box, contributing an exact +0.0 — reproduce that (the rescan
         // above is the work profile under measurement).
@@ -431,6 +449,10 @@ double NetCostModel::propose_naive(const std::vector<BlockLoc>& locs,
     }
   }
   return out.delta;
+}
+
+void NetCostModel::track(std::size_t blk, const BlockLoc& l) {
+  xy_[blk] = pack_xy(l);
 }
 
 void NetCostModel::commit(const Pending& p) {
@@ -501,7 +523,7 @@ struct Annealer {
         opt(o),
         rng(o.seed),
         nets(std::move(nets_in)),
-        model(&nets, p.blocks.size()) {
+        model(nets, p.blocks.size()) {
     if (opt.directed_moves) gen_weight = {0.5, 0.25, 0.25};
   }
 
@@ -569,7 +591,11 @@ struct Annealer {
   void apply_move(std::size_t a, std::size_t b, const BlockLoc& src,
                   const BlockLoc& dest, bool is_logic) {
     locs[a] = dest;
-    if (b != kEmpty) locs[b] = src;
+    model.track(a, dest);
+    if (b != kEmpty) {
+      locs[b] = src;
+      model.track(b, src);
+    }
     commit_occupancy(a, b, src, dest, is_logic);
   }
 
@@ -620,7 +646,7 @@ struct Annealer {
   /// Median of the bounding edges of the connected nets (VPR's "median
   /// region" generator): robust to one far-away net dragging the target.
   bool median_target(std::size_t a, std::size_t& tx, std::size_t& ty) const {
-    const auto& ns = model.nets_of(a);
+    const auto ns = model.nets_of(a);
     if (ns.empty()) return false;
     std::vector<std::uint32_t> xs, ys;
     xs.reserve(2 * ns.size());

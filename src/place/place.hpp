@@ -19,10 +19,20 @@
 //    RNG streams, then committed serially in slot order with
 //    epoch-stamped conflict detection and serial replay — bit-identical
 //    at any thread count.
+//
+// The serial kernel runs over flat arrays (see NetCostModel): CSR pin
+// and block-net lists of uint32 plus one packed (x, y) word per block,
+// scanned in the order the per-net vectors had, so placements stay
+// bit-identical. In a flow, place() overlaps the RR graph, lookahead and
+// delay-model build: place_with_artifacts (service/flow_artifacts.hpp)
+// runs it on a helper thread when the current pool has >= 2 threads,
+// while those large artifacts are built on the calling thread, which
+// keeps their memory out of a second glibc malloc arena.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "arch/params.hpp"
@@ -111,9 +121,25 @@ struct PlaceOptions {
 /// bit-identical — the differential suite in tests/prop/prop_place_diff
 /// pins this against the naive oracle in src/verify/reference_place.cpp.
 ///
-/// The PlacedNet list must outlive the model, have unique pins per net
-/// (driver not repeated in sinks) and sorted sink lists — exactly what
-/// extract_placed_nets produces.
+/// Flat layout. The constructor copies the net topology into two CSR
+/// arrays of uint32 and keeps no reference to the PlacedNet list:
+///  - pins: every net's pins, driver first then the sorted sinks, back
+///    to back; pin_start_[n]..pin_start_[n+1] delimits net n;
+///  - block nets: every block's nets, ascending, back to back;
+///    net_start_[b]..net_start_[b+1] delimits block b (nets_of()).
+/// rebuild() also packs every block's (x, y) into one uint32 word. The
+/// serial annealer's apply_swap walks a block's slice of the block-nets
+/// array, scans each net's slice of the pins array and reads 4 bytes
+/// per pin from the packed words, so one move touches a handful of
+/// contiguous uint32 runs instead of chasing a heap vector per block
+/// and per net through 24-byte BlockLocs. The scan order, and so every
+/// floating-point accumulation, is the one the per-net vectors had:
+/// placements, costs and PlaceCounters are bit-identical (pinned by
+/// Place.DefaultAnnealGolden).
+///
+/// The PlacedNet list must have unique pins per net (driver not
+/// repeated in sinks) and sorted sink lists — exactly what
+/// extract_placed_nets produces — and fewer than 2^32 pins in total.
 class NetCostModel {
  public:
   /// Packed to 24 bytes (16 bytes of geometry + the cost) so the hot
@@ -149,7 +175,7 @@ class NetCostModel {
 
   static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
 
-  NetCostModel(const std::vector<PlacedNet>* nets, std::size_t n_blocks);
+  NetCostModel(const std::vector<PlacedNet>& nets, std::size_t n_blocks);
 
   /// Replace the per-net weights (timing-driven criticality emphasis);
   /// must be followed by rebuild() to re-derive box costs.
@@ -168,11 +194,17 @@ class NetCostModel {
 
   const Box& box(std::size_t net) const { return boxes_[net]; }
   double weight(std::size_t net) const { return weight_[net]; }
-  std::size_t net_count() const { return nets_->size(); }
+  std::size_t net_count() const { return weight_.size(); }
+
+  /// Pins of a net: the driver, then the sinks ascending.
+  std::span<const std::uint32_t> pins_of(std::size_t net) const {
+    return {pins_.data() + pin_start_[net], pins_.data() + pin_start_[net + 1]};
+  }
 
   /// Nets touching a block, ascending by net index.
-  const std::vector<std::size_t>& nets_of(std::size_t block) const {
-    return block_nets_[block];
+  std::span<const std::uint32_t> nets_of(std::size_t block) const {
+    return {block_nets_.data() + net_start_[block],
+            block_nets_.data() + net_start_[block + 1]};
   }
 
   /// Visit every net touching block a and/or block b exactly once, in
@@ -183,12 +215,12 @@ class NetCostModel {
   /// their floating-point accumulations are bit-identical.
   template <typename F>
   void for_each_touched(std::size_t a, std::size_t b, F&& f) const {
-    const std::vector<std::size_t>& la = block_nets_[a];
+    const std::span<const std::uint32_t> la = nets_of(a);
     if (b == kNoBlock) {
       for (std::size_t n : la) f(n, true, false);
       return;
     }
-    const std::vector<std::size_t>& lb = block_nets_[b];
+    const std::span<const std::uint32_t> lb = nets_of(b);
     std::size_t j = 0;
     for (std::size_t n : la) {
       while (j < lb.size() && lb[j] < n) ++j;
@@ -230,7 +262,9 @@ class NetCostModel {
   /// book_delta() on accept. Shared nets are rescanned once per block;
   /// the second visit sees the already-stored box and contributes an
   /// exact +0.0, which keeps the delta bit-identical to propose()'s
-  /// shared-net-once accumulation.
+  /// shared-net-once accumulation. The scans read the packed positions,
+  /// so `locs` must match them: since the last rebuild(), change it only
+  /// through apply_swap, undo_swap, or writes reported with track().
   double apply_swap(std::vector<BlockLoc>& locs, std::size_t a,
                     const BlockLoc& dest, std::size_t b, Pending& undo);
 
@@ -243,6 +277,11 @@ class NetCostModel {
   void undo_swap(std::vector<BlockLoc>& locs, std::size_t a,
                  const BlockLoc& src, std::size_t b, const BlockLoc& dest,
                  const Pending& undo);
+
+  /// Mirror a location change made outside apply_swap/undo_swap (the
+  /// naive and batch commit paths write `locs` directly) into the packed
+  /// words apply_swap scans. rebuild() re-derives them all.
+  void track(std::size_t blk, const BlockLoc& l);
 
   /// Fold an accepted apply_swap delta into the tracked total — the
   /// same one += per accepted move the seed annealer performed.
@@ -263,18 +302,18 @@ class NetCostModel {
                  const BlockLoc& new_b) const;
 
  private:
-  Box scan_box(const PlacedNet& n, const std::vector<BlockLoc>& locs,
-               std::size_t a, const BlockLoc& new_a, std::size_t b,
-               const BlockLoc& new_b) const;
   void finish_cost(Box& box, std::size_t net) const;
 
-  const std::vector<PlacedNet>* nets_;
   std::vector<double> weight_;
   /// weight_[n] * q_factor(pins(n)) precomputed: finish_cost() is then
-  /// one multiply with no PlacedNet access. (w * q) * span associates
-  /// exactly as the seed's w * q * span, so costs stay bit-identical.
+  /// one multiply. (w * q) * span associates exactly as the seed's
+  /// w * q * span, so costs stay bit-identical.
   std::vector<double> wq_;
-  std::vector<std::vector<std::size_t>> block_nets_;
+  std::vector<std::uint32_t> pin_start_, pins_;         ///< CSR: net -> pins
+  std::vector<std::uint32_t> net_start_, block_nets_;   ///< CSR: block -> nets
+  /// Per block: x | y << 16 of its location (see pack_xy in place.cpp),
+  /// kept equal to `locs` by rebuild, apply_swap, undo_swap and track.
+  std::vector<std::uint32_t> xy_;
   std::vector<Box> boxes_;
   double cost_ = 0.0;
 };

@@ -1,9 +1,12 @@
 #include "service/flow_artifacts.hpp"
 
 #include <cstdio>
+#include <exception>
+#include <thread>
 
 #include "device/switch_tech.hpp"
 #include "timing/variant.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nemfpga {
 namespace {
@@ -160,6 +163,41 @@ FlowArtifacts make_flow_artifacts(ArtifactCache* cache,
     }
   }
   return a;
+}
+
+PlacedArtifacts place_with_artifacts(const Netlist& nl, const Packing& pk,
+                                     const ArchParams& arch, std::size_t nx,
+                                     std::size_t ny, const PlaceOptions& popt,
+                                     ArtifactCache* cache,
+                                     const RouteOptions& ropt,
+                                     std::string_view timing_backend) {
+  PlacedArtifacts out;
+  ThreadPool& pool = ThreadPool::current();
+  if (pool.thread_count() < 2) {
+    out.placement = place(nl, pk, arch, nx, ny, popt);
+    out.artifacts =
+        make_flow_artifacts(cache, arch, nx, ny, ropt, timing_backend);
+    return out;
+  }
+  std::exception_ptr place_error;
+  std::thread helper([&] {
+    try {
+      ThreadPool::ScopedUse use(pool);
+      out.placement = place(nl, pk, arch, nx, ny, popt);
+    } catch (...) {
+      place_error = std::current_exception();
+    }
+  });
+  try {
+    out.artifacts =
+        make_flow_artifacts(cache, arch, nx, ny, ropt, timing_backend);
+  } catch (...) {
+    helper.join();
+    throw;
+  }
+  helper.join();
+  if (place_error) std::rethrow_exception(place_error);
+  return out;
 }
 
 }  // namespace nemfpga

@@ -44,6 +44,9 @@
 
 #include "arch/lookahead.hpp"
 #include "arch/rr_graph.hpp"
+#include "netlist/netlist.hpp"
+#include "pack/pack.hpp"
+#include "place/place.hpp"
 #include "route/route.hpp"
 #include "service/artifact_cache.hpp"
 #include "timing/delay_model.hpp"
@@ -94,5 +97,32 @@ FlowArtifacts make_flow_artifacts(ArtifactCache* cache,
                                   const ArchParams& arch, std::size_t nx,
                                   std::size_t ny, const RouteOptions& ropt,
                                   std::string_view timing_backend);
+
+/// A flow's placement and its pre-route artifacts.
+struct PlacedArtifacts {
+  Placement placement;
+  FlowArtifacts artifacts;
+};
+
+/// place() and make_flow_artifacts() for one flow — the shared front half
+/// of run_flow and the EcoFlow constructor. The two are independent (the
+/// artifacts depend on the grid, never on the placement), so when
+/// ThreadPool::current() has >= 2 threads place() runs on one helper
+/// thread while this thread builds the artifacts; with a serial pool
+/// (NF_THREADS=1, the serve workers' pinned pools) they run one after
+/// the other here. The result is bit-identical either way. The
+/// artifacts stay on the calling thread on purpose: glibc gives each
+/// thread that allocates its own malloc arena, and the RR graph and
+/// lookahead built on another thread left their freed pages in that
+/// arena, raising a flow's peak RSS by about a third; the placer's
+/// working set is small. The helper routes its parallel_for calls
+/// through this thread's current pool, and is joined before any
+/// exception — from either side — reaches the caller.
+PlacedArtifacts place_with_artifacts(const Netlist& nl, const Packing& pk,
+                                     const ArchParams& arch, std::size_t nx,
+                                     std::size_t ny, const PlaceOptions& popt,
+                                     ArtifactCache* cache,
+                                     const RouteOptions& ropt,
+                                     std::string_view timing_backend);
 
 }  // namespace nemfpga

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -27,6 +28,30 @@ std::string backend_from_string(const std::string& s) {
                              registered_switch_technology_names() + ")");
   }
   return std::string(switch_technology(s).name());
+}
+
+/// Largest integer up to which every double is integer-exact (2^53).
+constexpr double kMaxExactInt = 9007199254740992.0;
+
+/// A client count: absent or null takes `def`; anything else must be a
+/// JSON number holding an integer in [lo, 2^53], or the request fails
+/// with an error naming the field. Protocol numbers arrive as doubles,
+/// so a bare cast would turn -1 or 1e20 into undefined behaviour and
+/// 2.5 into a silent truncation. A `def` below `lo` makes the field
+/// required.
+std::uint64_t count_field(const JsonObject& o, const std::string& key,
+                          double def, double lo) {
+  double v = def;
+  const auto it = o.fields.find(key);
+  if (it != o.fields.end() && it->second.kind != JsonValue::Kind::kNull) {
+    v = it->second.kind == JsonValue::Kind::kNumber ? it->second.num : -1.0;
+  }
+  if (!(v >= lo && v <= kMaxExactInt && v == std::floor(v))) {
+    throw std::runtime_error(key + " must be an integer in [" +
+                             std::to_string(static_cast<int>(lo)) +
+                             ", 2^53]");
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 char hex_digit(std::uint64_t v) {
@@ -104,16 +129,13 @@ FlowJob job_from_json(const JsonObject& o, const ServeOptions& defaults) {
     job.netlist = generate_benchmark(bench);
   } else if (o.has("synth_luts")) {
     SynthSpec spec;
-    spec.n_luts = static_cast<std::size_t>(o.get_number("synth_luts"));
-    if (spec.n_luts == 0) {
-      throw std::runtime_error("synth_luts must be positive");
+    spec.n_luts = count_field(o, "synth_luts", 0.0, 1.0);
+    spec.n_inputs = count_field(o, "inputs", 32.0, 1.0);
+    spec.n_outputs = count_field(o, "outputs", 32.0, 0.0);
+    spec.n_latches = count_field(o, "latches", 0.0, 0.0);
+    if (spec.n_latches > spec.n_luts) {
+      throw std::runtime_error("latches must not exceed synth_luts");
     }
-    spec.n_inputs =
-        static_cast<std::size_t>(o.get_number("inputs", 32.0));
-    spec.n_outputs =
-        static_cast<std::size_t>(o.get_number("outputs", 32.0));
-    spec.n_latches =
-        static_cast<std::size_t>(o.get_number("latches", 0.0));
     spec.locality = o.get_number("locality", 1.0);
     spec.name = "synth-" + std::to_string(spec.n_luts);
     job.name = spec.name;
@@ -122,15 +144,9 @@ FlowJob job_from_json(const JsonObject& o, const ServeOptions& defaults) {
     throw std::runtime_error(
         "flow request needs \"benchmark\" or \"synth_luts\"");
   }
-  if (o.has("w")) {
-    const double w = o.get_number("w");
-    if (w < 2.0) throw std::runtime_error("w must be >= 2");
-    job.opt.arch.W = static_cast<std::size_t>(w);
-  }
-  if (o.has("seed")) {
-    job.opt.place.seed =
-        static_cast<std::uint64_t>(o.get_number("seed", 1.0));
-  }
+  job.opt.arch.W =
+      count_field(o, "w", static_cast<double>(job.opt.arch.W), 2.0);
+  job.opt.place.seed = count_field(o, "seed", 1.0, 0.0);
   job.opt.route.timing_driven = o.get_bool("timing", false);
   job.opt.timing_backend =
       backend_from_string(o.get_string("variant", "cmos"));

@@ -3,7 +3,9 @@
 // src/verify/reference_place.cpp, over randomized move sequences: per-net
 // boxes and costs must agree bitwise after every commit, the incremental
 // and naive kernels must produce bit-identical deltas, and the tracked
-// total must stay within 1e-9 relative of a from-scratch recompute. Plus
+// total must stay within 1e-9 relative of a from-scratch recompute; the
+// serial annealer's in-place apply_swap/undo_swap kernel must match the
+// propose/commit engine bitwise and undo exactly. Plus
 // whole-placer properties: every randomized configuration (speculative
 // batches, directed generators, timing-driven second anneal) yields a
 // legal placement with a consistent reported cost, and batch-mode
@@ -30,7 +32,7 @@ void run_cost_sequence(Rng& rng) {
 
   const std::vector<PlacedNet>& nets = d.pl.nets;
   const std::size_t n_blocks = d.pl.locs.size();
-  NetCostModel model(&nets, n_blocks);
+  NetCostModel model(nets, n_blocks);
   std::vector<double> w(nets.size(), 1.0);
   if (rng.chance(0.5)) {
     for (auto& x : w) x = 1.0 + 4.0 * rng.uniform();
@@ -103,6 +105,126 @@ TEST(PropPlaceDiff, IncrementalCostMatchesFullRescan) {
   const PropConfig cfg = PropConfig::from_env(200);
   const PropResult res =
       check_seeds("place_cost_diff", cfg, run_cost_sequence);
+  EXPECT_TRUE(res.ok()) << res.report();
+  EXPECT_GE(res.cases_run, cfg.only_case ? 1u : 200u);
+}
+
+/// The serial annealer's in-place kernel (apply_swap / undo_swap over
+/// the flat arrays and packed positions) against the non-mutating
+/// propose/commit engine on a twin model: every swap's delta is
+/// bit-identical, every touched box matches the full-rescan oracle, a
+/// rejected swap restores boxes, locations and the tracked total
+/// bitwise, and locations written outside apply_swap (the naive
+/// commit path, reported with track()) keep later scans exact.
+void run_swap_sequence(Rng& rng) {
+  DesignCase c = gen_design_case(rng);
+  c.place_batch = 0;
+  c.place_timing = false;
+  const BuiltDesign d = build_design(c);
+  if (d.pl.nets.empty()) return;
+
+  const std::vector<PlacedNet>& nets = d.pl.nets;
+  const std::size_t n_blocks = d.pl.locs.size();
+  NetCostModel live(nets, n_blocks), twin(nets, n_blocks);
+  std::vector<double> w(nets.size(), 1.0);
+  if (rng.chance(0.5)) {
+    for (auto& x : w) x = 1.0 + 4.0 * rng.uniform();
+  }
+  live.set_weights(w);
+  twin.set_weights(w);
+  std::vector<BlockLoc> locs = d.pl.locs, twin_locs = d.pl.locs;
+  live.rebuild(locs);
+  twin.rebuild(twin_locs);
+
+  auto same_box = [](const NetCostModel::Box& x, const NetCostModel::Box& y) {
+    return x.x_lo == y.x_lo && x.x_hi == y.x_hi && x.y_lo == y.y_lo &&
+           x.y_hi == y.y_hi && x.cost == y.cost;
+  };
+  NetCostModel::Pending undo, pend;
+  const std::size_t moves = 40 + rng.uniform_int(160);
+  for (std::size_t m = 0; m < moves; ++m) {
+    const std::size_t a = rng.uniform_int(n_blocks);
+    const BlockLoc src = locs[a];
+    std::size_t b = NetCostModel::kNoBlock;
+    BlockLoc dest;
+    const std::size_t cand = rng.uniform_int(n_blocks);
+    if (cand != a && rng.chance(0.6)) {
+      b = cand;  // a swap: a lands on b's site, b on a's
+      dest = locs[b];
+    } else {
+      dest.x = rng.uniform_int(d.nx + 2);
+      dest.y = rng.uniform_int(d.ny + 2);
+      dest.sub = src.sub;
+    }
+
+    pend.clear();
+    const double ref = twin.propose(twin_locs, a, dest, b, src, pend);
+    if (rng.chance(0.2)) {
+      // The naive commit path: evaluate without mutating, then write the
+      // locations directly and report them with track().
+      NetCostModel::Pending naive;
+      const double delta =
+          live.propose_naive(locs, a, dest, b, src, naive);
+      prop_require(delta == ref, "naive and incremental deltas disagree");
+      live.commit(naive);
+      locs[a] = dest;
+      live.track(a, dest);
+      if (b != NetCostModel::kNoBlock) {
+        locs[b] = src;
+        live.track(b, src);
+      }
+    } else {
+      const std::vector<BlockLoc> locs_before = locs;
+      const double total_before = live.total_cost();
+      undo.clear();
+      const double delta = live.apply_swap(locs, a, dest, b, undo);
+      prop_require(delta == ref,
+                   "apply_swap delta differs from propose()'s");
+      for (const auto& u : undo.nets) {
+        const NetCostModel::Box& box = live.box(u.net);
+        const ReferenceNetBox rb = reference_net_box(nets[u.net], locs);
+        prop_require(box.x_lo == rb.x_lo && box.x_hi == rb.x_hi &&
+                         box.y_lo == rb.y_lo && box.y_hi == rb.y_hi,
+                     "apply_swap box disagrees with full rescan");
+        prop_require(
+            box.cost == reference_net_cost(nets[u.net], w[u.net], locs),
+            "apply_swap net cost is not bit-identical to the oracle");
+      }
+      if (rng.chance(0.4)) {
+        // Rejected: undo must restore everything bitwise.
+        live.undo_swap(locs, a, src, b, dest, undo);
+        for (std::size_t i = 0; i < locs.size(); ++i) {
+          prop_require(locs[i].x == locs_before[i].x &&
+                           locs[i].y == locs_before[i].y &&
+                           locs[i].sub == locs_before[i].sub,
+                       "undo_swap did not restore the locations");
+        }
+        for (const auto& u : undo.nets) {
+          prop_require(same_box(live.box(u.net), twin.box(u.net)),
+                       "undo_swap did not restore a displaced box");
+        }
+        prop_require(live.total_cost() == total_before,
+                     "undo_swap moved the tracked total");
+        continue;
+      }
+      live.book_delta(delta);
+    }
+    twin.commit(pend);
+    twin_locs[a] = dest;
+    if (b != NetCostModel::kNoBlock) twin_locs[b] = src;
+    prop_require(live.total_cost() == twin.total_cost(),
+                 "tracked totals diverged between the two kernels");
+    for (std::size_t n = 0; n < nets.size(); ++n) {
+      prop_require(same_box(live.box(n), twin.box(n)),
+                   "committed boxes diverged between the two kernels");
+    }
+  }
+}
+
+TEST(PropPlaceDiff, ApplySwapMatchesProposeAndUndoRestores) {
+  const PropConfig cfg = PropConfig::from_env(200);
+  const PropResult res =
+      check_seeds("place_swap_diff", cfg, run_swap_sequence);
   EXPECT_TRUE(res.ok()) << res.report();
   EXPECT_GE(res.cases_run, cfg.only_case ? 1u : 200u);
 }

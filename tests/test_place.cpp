@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "arch/rr_graph.hpp"
+#include "netlist/mcnc.hpp"
 #include "netlist/synth_gen.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
@@ -153,6 +156,49 @@ TEST(Place, TimingDrivenGoldenChecksum) {
     mix(l.sub);
   }
   EXPECT_EQ(h, 1506985621632584956ull);
+}
+
+// The default serial anneal (uniform moves, incremental kernel) on two
+// MCNC circuits at their flow grid, pinned bit-for-bit: the placement
+// hash, the exact final_cost bits and the move counters. Any change to
+// the cost kernel's scan or accumulation order, or to the RNG draw
+// order, moves at least one of these.
+TEST(Place, DefaultAnnealGolden) {
+  struct Golden {
+    const char* circuit;
+    std::uint64_t hash;
+    std::uint64_t cost_bits;
+    std::uint64_t proposed;
+    std::uint64_t accepted;
+  };
+  const Golden goldens[] = {
+      {"tseng", 0x52e83804782aa684ull, 0x40b6bfbfec56d655ull, 443512, 203598},
+      {"alu4", 0xcaff5577c18c500aull, 0x40b70020e56040baull, 212786, 90623},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.circuit);
+    const ArchParams arch;
+    const Netlist nl = generate_benchmark(g.circuit);
+    const Packing pk = pack_netlist(nl, arch);
+    const auto [nx, ny] =
+        grid_size_for(arch, pk.clusters.size(), pk.io_block_count());
+    PlaceOptions opt;
+    opt.seed = 7;
+    const Placement pl = place(nl, pk, arch, nx, ny, opt);
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+    for (const auto& l : pl.locs) {
+      mix(l.x);
+      mix(l.y);
+      mix(l.sub);
+    }
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &pl.final_cost, sizeof bits);
+    EXPECT_EQ(h, g.hash);
+    EXPECT_EQ(bits, g.cost_bits) << pl.final_cost;
+    EXPECT_EQ(pl.counters.proposed, g.proposed);
+    EXPECT_EQ(pl.counters.accepted, g.accepted);
+  }
 }
 
 TEST(Place, TimingDrivenRefinesWirelengthPlacement) {

@@ -122,6 +122,62 @@ TEST(JobFromJson, RejectsInvalidSpecs) {
                std::runtime_error);
 }
 
+// Client counts are integer-exact and in range, or the request fails
+// with an error that names the field — never a bare cast.
+TEST(JobFromJson, RejectsNonIntegerOrOutOfRangeCounts) {
+  ServeOptions defaults;
+  const auto error_of = [&](const std::string& fields) -> std::string {
+    try {
+      job_from_json(parse_json_object("{\"op\":\"flow\"," + fields + "}"),
+                    defaults);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const struct {
+    const char* fields;
+    const char* field;
+  } bad[] = {
+      {R"("synth_luts":-5)", "synth_luts"},
+      {R"("synth_luts":2.5)", "synth_luts"},
+      {R"("synth_luts":1e300)", "synth_luts"},
+      {R"("synth_luts":"200")", "synth_luts"},
+      {R"("synth_luts":null)", "synth_luts"},
+      {R"("synth_luts":200,"inputs":0)", "inputs"},
+      {R"("synth_luts":200,"inputs":-1)", "inputs"},
+      {R"("synth_luts":200,"outputs":3.5)", "outputs"},
+      {R"("synth_luts":200,"latches":-2)", "latches"},
+      {R"("synth_luts":200,"latches":201)", "latches"},
+      {R"("benchmark":"tseng","seed":-1)", "seed"},
+      {R"("benchmark":"tseng","seed":0.5)", "seed"},
+      {R"("benchmark":"tseng","seed":1e19)", "seed"},
+      {R"("benchmark":"tseng","w":1e20)", "w"},
+      {R"("benchmark":"tseng","w":-64)", "w"},
+      {R"("benchmark":"tseng","w":64.5)", "w"},
+      {R"("benchmark":"tseng","w":true)", "w"},
+  };
+  for (const auto& b : bad) {
+    SCOPED_TRACE(b.fields);
+    const std::string err = error_of(b.fields);
+    EXPECT_NE(err.find(b.field), std::string::npos) << err;
+  }
+  // The largest integer-exact values still land exactly; null means
+  // "absent" and takes the default.
+  const FlowJob job = job_from_json(
+      parse_json_object(R"({"op":"flow","benchmark":"tseng",)"
+                        R"("seed":9007199254740992,"w":null})"),
+      defaults);
+  EXPECT_EQ(job.opt.place.seed, 9007199254740992ull);
+  EXPECT_EQ(job.opt.arch.W, defaults.arch.W);
+  const FlowJob synth = job_from_json(
+      parse_json_object(R"({"op":"flow","synth_luts":40,"inputs":4,)"
+                        R"("outputs":0,"latches":40,"seed":0})"),
+      defaults);
+  EXPECT_EQ(synth.name, "synth-40");
+  EXPECT_EQ(synth.opt.place.seed, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Scheduler.
 

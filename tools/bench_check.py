@@ -57,8 +57,10 @@ all hold. The knobs that legitimately change the trajectory
 (batch_moves, directed, timing_driven, inner_num, seed) ARE the
 configuration. `rescans` is kernel-internal telemetry (the kernels
 count fallback work differently), so it is only pinned when the
-cost_kernel matches. Wall time additionally requires the same threads
-and the same cost_kernel. A route bench and a place bench measure
+cost_kernel matches. Wall time additionally requires the same threads,
+the same host core count (`nproc`, host metadata like threads, outside
+the configuration; files that predate it compare on threads alone) and
+the same cost_kernel. A route bench and a place bench measure
 different programs entirely, so cross-family comparison is a hard
 error, not a waiver.
 
@@ -519,15 +521,20 @@ def compare_place(base, cand, max_regress_pct):
     # thread count AND the same cost kernel (the naive kernel exists to
     # price the incremental machinery — its wall clock is the baseline of
     # a speedup claim, not a regression).
+    # The host core count gates it too, when both files record one.
+    same_nproc = (base.get("nproc") is None or cand.get("nproc") is None
+                  or base.get("nproc") == cand.get("nproc"))
     wall_comparable = (
         base.get("schema") == cand.get("schema")
         and base.get("threads") == cand.get("threads")
+        and same_nproc
         and same_config
         and same_kernel)
     if not wall_comparable:
         notes.append(
             "runs are not wall-comparable "
             f"(threads {base.get('threads')} vs {cand.get('threads')}, "
+            f"nproc {base.get('nproc')} vs {cand.get('nproc')}, "
             f"kernel {base.get('cost_kernel')} vs "
             f"{cand.get('cost_kernel')}): wall budget waived")
     bw, cw = base["total_wall_s"], cand["total_wall_s"]
@@ -878,6 +885,25 @@ def selftest():
     p_t8["circuits"][0]["cost_checksum"] = "thread-diverged"
     assert compare(p_base, p_t8, 15.0), \
         "cross-thread checksum drift must fail (commit is deterministic)"
+
+    # Cross-host: nproc is host metadata — wall budget waived, every
+    # correctness field still pinned; a file without it (older runs)
+    # still compares on threads alone.
+    p_host = json.loads(json.dumps(p_base))
+    p_host["nproc"] = 4
+    assert compare(p_base, p_host, 15.0) == [], \
+        "a file without nproc compares against one with it"
+    p_host_slow = json.loads(json.dumps(p_host))
+    p_host_slow["total_wall_s"] = 6.0
+    assert compare(p_base, p_host_slow, 15.0), \
+        "missing nproc on one side keeps the wall budget"
+    p_1core = json.loads(json.dumps(p_host_slow))
+    p_1core["nproc"] = 1
+    assert compare(p_host, p_1core, 15.0) == [], \
+        "cross-host place wall time must not trip the budget"
+    p_1core["circuits"][0]["accepted"] = 400_001
+    assert compare(p_host, p_1core, 15.0), \
+        "cross-host trajectory drift must fail (nproc is not config)"
 
     # Cross-kernel: naive vs incremental must produce the identical
     # trajectory; rescans (kernel telemetry) and wall time are waived.
