@@ -42,7 +42,10 @@ std::uint64_t routing_checksum(const RoutingResult& r) {
 }
 
 struct Golden {
-  const char* circuit;
+  /// Held inline, not as a pointer: gtest lists a param it cannot print
+  /// as its raw bytes, and a pointer would put a per-run address into
+  /// every test name.
+  char circuit[8];
   std::size_t w_fixed;        ///< Channel width for the fixed-W route.
   std::uint64_t checksum;     ///< routing_checksum at w_fixed.
   std::size_t iterations;     ///< PathFinder iterations at w_fixed.

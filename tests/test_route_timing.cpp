@@ -55,6 +55,10 @@ struct TimingGolden {
   double max_cp_ratio;
 };
 
+// Listed test names show the circuit, not the param's raw bytes (which
+// include a per-run pointer value).
+void PrintTo(const TimingGolden& g, std::ostream* os) { *os << g.circuit; }
+
 constexpr TimingGolden kTimingGolden[] = {
     {"tseng", 48, 45, 0.97},
     {"ex5p", 48, 45, 0.97},

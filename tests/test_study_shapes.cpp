@@ -18,6 +18,10 @@ struct Shape {
   double locality;
 };
 
+// Listed test names show the shape, not the param's raw bytes (which
+// include a per-run pointer value).
+void PrintTo(const Shape& sh, std::ostream* os) { *os << sh.name; }
+
 class StudyShapeSweep : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(StudyShapeSweep, HeadlineInvariantsHold) {
